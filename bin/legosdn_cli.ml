@@ -231,7 +231,15 @@ let run_scenario make_topology arch app_names bug policy_file config_file
   | _ -> ());
   (match !runtime_holder with
   | Some rt when verbose ->
-      Format.printf "@.metrics: %a@." Legosdn.Metrics.pp (Runtime.metrics rt);
+      let m = Runtime.metrics rt in
+      Format.printf "@.metrics: %a@." Legosdn.Metrics.pp m;
+      let count name = Legosdn.Metrics.(value (counter m name)) in
+      Format.printf
+        "policy: reconciles=%d rejected=%d compromises=%d compiles=%d \
+         compile-hits=%d@."
+        (count "policy_reconciles") (count "policy_rejected")
+        (count "policy_compromises") (count "policy_compiles")
+        (count "policy_compile_hits");
       let net = Runtime.net rt in
       let ch = Netsim.Net.channel_totals net in
       Format.printf

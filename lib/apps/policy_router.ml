@@ -19,45 +19,66 @@ let init () = []
 
 let hosts_known st = List.length st
 
-(* BFS first-hop port from [src] towards [dst] over the live links. *)
-let first_hop links src dst =
-  let adjacency = Hashtbl.create 16 in
+(* [first_hops links dst sw]: [sw]'s first-hop port towards [dst] over
+   [links], from one BFS out of [dst] over the reversed links. A switch
+   forwards to its lowest (port, next) neighbour that is one hop closer to
+   [dst]. That is the port a BFS out of [sw] itself picks when it queues
+   its neighbours in (port, next) order, because every node such a BFS
+   reaches inherits the first-queued neighbour on a shortest path to it.
+   [None] for [dst] itself and for switches that cannot reach it. Staged:
+   [first_hops links] indexes the links once, [first_hops links dst] runs
+   the BFS once. *)
+module Itbl = Hashtbl.Make (struct
+  type t = Types.switch_id
+
+  let equal = Int.equal
+  let hash = Fun.id
+end)
+
+let first_hops links =
+  let out = Itbl.create 16 and into = Itbl.create 16 in
+  let push tbl k v =
+    Itbl.replace tbl k (v :: Option.value (Itbl.find_opt tbl k) ~default:[])
+  in
   List.iter
     (fun (l : Event.link) ->
-      let existing =
-        Option.value (Hashtbl.find_opt adjacency l.Event.src_switch) ~default:[]
-      in
-      Hashtbl.replace adjacency l.Event.src_switch
-        ((l.Event.src_port, l.Event.dst_switch) :: existing))
+      push out l.Event.src_switch (l.Event.src_port, l.Event.dst_switch);
+      push into l.Event.dst_switch l.Event.src_switch)
     links;
-  let neighbors sid =
-    Option.value (Hashtbl.find_opt adjacency sid) ~default:[]
-    |> List.sort compare
+  let lower ((p, n) : Types.port_no * Types.switch_id) (p', n') =
+    p < p' || (p = p' && n < n')
   in
-  let visited = Hashtbl.create 16 in
-  Hashtbl.replace visited src ();
-  let queue = Queue.create () in
-  List.iter
-    (fun (port, next) ->
-      if not (Hashtbl.mem visited next) then begin
-        Hashtbl.replace visited next ();
-        Queue.push (next, port) queue
-      end)
-    (neighbors src);
-  let result = ref None in
-  while !result = None && not (Queue.is_empty queue) do
-    let sid, port = Queue.pop queue in
-    if sid = dst then result := Some port
-    else
+  fun dst ->
+    let dist = Itbl.create 16 in
+    Itbl.replace dist dst 0;
+    let queue = Queue.create () in
+    Queue.push dst queue;
+    while not (Queue.is_empty queue) do
+      let sid = Queue.pop queue in
+      let d = Itbl.find dist sid + 1 in
       List.iter
-        (fun (_, next) ->
-          if not (Hashtbl.mem visited next) then begin
-            Hashtbl.replace visited next ();
-            Queue.push (next, port) queue
+        (fun prev ->
+          if not (Itbl.mem dist prev) then begin
+            Itbl.replace dist prev d;
+            Queue.push prev queue
           end)
-        (neighbors sid)
-  done;
-  !result
+        (Option.value (Itbl.find_opt into sid) ~default:[])
+    done;
+    let closer d best ((_, next) as hop) =
+      match Itbl.find_opt dist next with
+      | Some d' when d' = d - 1 -> (
+          match best with
+          | Some b when not (lower hop b) -> best
+          | Some _ | None -> Some hop)
+      | Some _ | None -> best
+    in
+    fun sid ->
+      match Itbl.find_opt dist sid with
+      | None | Some 0 -> None
+      | Some d ->
+          List.fold_left (closer d) None
+            (Option.value (Itbl.find_opt out sid) ~default:[])
+          |> Option.map fst
 
 let flood_out sid (pi : Message.packet_in) =
   Command.packet_out ?buffer_id:pi.Message.pi_buffer_id
@@ -81,7 +102,7 @@ let handle _ctx (st : state) = function
    hop). Unknown destinations fall off the compiled table and punt to the
    controller, where [handle] floods them. *)
 let policy ctx (st : state) =
-  let links = App_sig.links ctx in
+  let first_hops = first_hops (App_sig.links ctx) in
   let switches = App_sig.switches ctx in
   let routes =
     List.filter_map
@@ -89,12 +110,12 @@ let policy ctx (st : state) =
         match App_sig.host_location ctx mac with
         | None -> None
         | Some (dst_sid, dst_port) ->
+            let first_hop = first_hops dst_sid in
             let per_switch =
               List.filter_map
                 (fun sw ->
                   let out =
-                    if sw = dst_sid then Some dst_port
-                    else first_hop links sw dst_sid
+                    if sw = dst_sid then Some dst_port else first_hop sw
                   in
                   Option.map
                     (fun port ->

@@ -304,6 +304,7 @@ let rec run ?(oracles = Oracle.all) ?trace_buffer
      and the dispatch tap must follow it. *)
   let attach rt =
     Runtime.set_tracer rt tracer;
+    Option.iter Legosdn.Netlog.keep_journal (Runtime.netlog rt);
     let tap =
       Obs.Hub.subscribe (Runtime.hub rt) (function
         | Obs.Hub.Dispatched ev -> trace := ev :: !trace

@@ -85,12 +85,17 @@ let switch_of_command = function
 
 (* ---------------- declarative intent ---------------- *)
 
+(* Intent counters are registry handles, looked up by name where they are
+   bumped. *)
+let bump deps name = Metrics.incr (Metrics.counter deps.metrics name)
+
 (* Recompile the app's declared policy against the current network view and
-   diff it against what the network holds. The candidate diff is installed
-   only after two independent checks: the compiled tables must agree with
-   the policy's denotation on a probe set covering every rule (forwarding
-   relation preserved), and the flow-mods must not introduce an invariant
-   violation (incremental engine when available). *)
+   diff it against what the network holds. Compilation is memoized per
+   sandbox, so an unchanged intent costs one equality check. The candidate
+   diff is installed only after two independent checks: the compiled tables
+   must agree with the policy's denotation on a probe set covering every
+   rule (forwarding relation preserved), and the flow-mods must not
+   introduce an invariant violation (incremental engine when available). *)
 let sync_intent config deps sandbox =
   if not config.intent then `No_intent
   else
@@ -99,9 +104,15 @@ let sync_intent config deps sandbox =
     | None -> `No_intent
     | Some pol -> (
         let switches = App_sig.switches ctx in
-        match Policy.compile ~switches pol with
-        | exception Policy.Uncompilable _ -> `Rejected
-        | tables -> (
+        match Sandbox.compile_intent sandbox ~switches pol with
+        | exception Policy.Uncompilable _ ->
+            bump deps "policy_compiles";
+            `Rejected
+        | outcome, tables -> (
+            bump deps
+              (match outcome with
+              | `Hit -> "policy_compile_hits"
+              | `Compiled -> "policy_compiles");
             let mods =
               Policy.flow_mods ~prev:(Sandbox.intent_tables sandbox)
                 ~next:tables
@@ -155,8 +166,8 @@ let sync_intent config deps sandbox =
    push the (verified) diff out so hardware tracks intent continuously. *)
 let reconcile_intent config deps sandbox =
   match sync_intent config deps sandbox with
-  | `Installed _ -> Metrics.incr_policy_reconcile deps.metrics
-  | `Rejected -> Metrics.incr_policy_rejected deps.metrics
+  | `Installed _ -> bump deps "policy_reconciles"
+  | `Rejected -> bump deps "policy_rejected"
   | `Noop | `No_intent -> ()
 
 (* Deliver one event inside a fresh transaction. Returns [Ok ()] on commit,
@@ -328,7 +339,7 @@ let apply_policy config deps sandbox event failure ~rolled_back =
          replaying anything through the faulty code path. *)
       match sync_intent config deps sandbox with
       | `Installed n ->
-          Metrics.incr_policy_compromise deps.metrics;
+          bump deps "policy_compromises";
           Metrics.incr_transformed deps.metrics;
           file_ticket deps sandbox ~event ~diagnosis
             ~resolution:
@@ -337,7 +348,7 @@ let apply_policy config deps sandbox event failure ~rolled_back =
                     (Sandbox.name sandbox) n))
             ~rolled_back
       | (`Rejected | `Noop | `No_intent) as r -> (
-          if r = `Rejected then Metrics.incr_policy_rejected deps.metrics;
+          if r = `Rejected then bump deps "policy_rejected";
           (* Fall back to hand-coded event transformations. *)
           let alternatives =
             Transform.equivalents ~links_of:deps.links_of event

@@ -200,10 +200,7 @@ let incr_resynced_rules t n = add t.n_resynced_rules n
 let incr_unreachable t = incr t.n_unreachable
 
 (* Intent (declarative policy) counters live in the registry only: they
-   postdate the flat record and nothing needs the extra field. *)
-let incr_policy_compromise t = incr (counter t "policy_compromises")
-let incr_policy_rejected t = incr (counter t "policy_rejected")
-let incr_policy_reconcile t = incr (counter t "policy_reconciles")
+   postdate the flat record, and Crash-Pad bumps them through handles. *)
 let policy_compromises t = value (counter t "policy_compromises")
 let policy_rejected t = value (counter t "policy_rejected")
 let policy_reconciles t = value (counter t "policy_reconciles")

@@ -78,21 +78,24 @@ val incr_resyncs : t -> unit
 val incr_resynced_rules : t -> int -> unit
 val incr_unreachable : t -> unit
 
-val incr_policy_compromise : t -> unit
-(** An Equivalence compromise satisfied by recompiling the app's declared
-    policy and installing the verified flow-mod diff. *)
+(** {2 Intent counters}
 
-val incr_policy_rejected : t -> unit
-(** A policy-derived candidate rule-set refused: it would have changed the
-    forwarding relation or violated a network invariant. *)
-
-val incr_policy_reconcile : t -> unit
-(** Declared intent re-synchronised to the network after a healthy
-    delivery changed the compiled tables. *)
+    Registry-backed; Crash-Pad bumps them through {!counter} handles.
+    Besides these three, [policy_compiles] counts calls to the policy
+    compiler and [policy_compile_hits] the reconciles that reused a
+    sandbox's memoized tables instead. *)
 
 val policy_compromises : t -> int
+(** Equivalence compromises satisfied by recompiling the app's declared
+    policy and installing the verified flow-mod diff. *)
+
 val policy_rejected : t -> int
+(** Policy-derived candidate rule-sets refused: they would have changed
+    the forwarding relation or violated a network invariant. *)
+
 val policy_reconciles : t -> int
+(** Declared intent re-synchronised to the network after a healthy
+    delivery changed the compiled tables. *)
 
 (** {2 N-version voter counters}
 

@@ -50,7 +50,9 @@ type t = {
   mutable n_aborted : int;
   mutable n_ops : int;
   mutable n_rolled_back : int;
-  mutable history : journal_entry list;  (* newest first *)
+  mutable history : journal_entry list option;
+      (* newest first; [None] until [keep_journal], so a long-running
+         controller does not grow with every transaction *)
   mutable tracer : Obs.Tracer.t;
 }
 
@@ -73,7 +75,7 @@ let create ?transport ?(xid_base = 1) ?metrics network =
     n_aborted = 0;
     n_ops = 0;
     n_rolled_back = 0;
-    history = [];
+    history = None;
     tracer = Obs.Tracer.noop;
   }
 
@@ -86,7 +88,24 @@ let committed t = t.n_committed
 let aborted t = t.n_aborted
 let ops_applied t = t.n_ops
 let ops_rolled_back t = t.n_rolled_back
-let journal t = List.rev t.history
+let keep_journal t =
+  match t.history with None -> t.history <- Some [] | Some _ -> ()
+
+let journal t = List.rev (Option.value t.history ~default:[])
+
+let record t ~committed ~rolled_back txn =
+  match t.history with
+  | None -> ()
+  | Some h ->
+      t.history <-
+        Some
+          ({
+             je_app = txn.app;
+             je_committed = committed;
+             je_ops = List.rev txn.applied;
+             je_rolled_back = rolled_back;
+           }
+          :: h)
 
 let begin_txn _t ~app = { app; undos = []; applied = []; closed = false }
 
@@ -272,14 +291,7 @@ let commit t txn =
   if not txn.closed then begin
     txn.closed <- true;
     t.n_committed <- t.n_committed + 1;
-    t.history <-
-      {
-        je_app = txn.app;
-        je_committed = true;
-        je_ops = List.rev txn.applied;
-        je_rolled_back = 0;
-      }
-      :: t.history
+    record t ~committed:true ~rolled_back:0 txn
   end
 
 let abort t txn =
@@ -297,14 +309,7 @@ let abort t txn =
             t.n_rolled_back <- t.n_rolled_back + 1;
             run_undo t undo)
           txn.undos);
-    t.history <-
-      {
-        je_app = txn.app;
-        je_committed = false;
-        je_ops = List.rev txn.applied;
-        je_rolled_back = List.length txn.undos;
-      }
-      :: t.history;
+    record t ~committed:false ~rolled_back:(List.length txn.undos) txn;
     txn.undos <- []
   end
 

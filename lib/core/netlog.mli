@@ -52,12 +52,17 @@ type journal_entry = {
   je_rolled_back : int;  (** Undos executed during the abort; 0 for commits. *)
 }
 
+val keep_journal : t -> unit
+(** Start recording every transaction closed on this instance from now on
+    (idempotent). Off by default: the journal grows with every
+    transaction, and nothing on the control path reads it. *)
+
 val journal : t -> journal_entry list
-(** Every transaction ever closed on this instance, oldest first. This is
-    the transaction-atomicity surface the dispatch-engine differential
-    tests compare: two engines are only equivalent if they commit and
-    abort the same transactions with the same commands, in the same
-    order. *)
+(** Every transaction closed since {!keep_journal}, oldest first ([[]]
+    if it was never called). This is the transaction-atomicity surface
+    the dispatch-engine differential tests compare: two engines are only
+    equivalent if they commit and abort the same transactions with the
+    same commands, in the same order. *)
 
 type txn
 

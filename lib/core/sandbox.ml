@@ -18,6 +18,12 @@ type t = {
       (* Compiled form of the app's declared policy as last installed on the
          network. Tracks network state, not app state: reboots and restores
          leave it alone because the rules stay in the switches. *)
+  mutable compiled :
+    (Openflow.Types.switch_id list * Policy.t * Policy.table list) option;
+      (* The last successful compile, keyed on its inputs. After a
+         reconcile its tables are the very list [intent_tables] holds, so
+         the memo keeps no second copy. Not shipped with state: a cold
+         memo just recompiles. *)
 }
 
 let create ?ckpt ~checkpoint_every m =
@@ -34,6 +40,7 @@ let create ?ckpt ~checkpoint_every m =
     n_rpc_bytes = 0;
     scratch = None;
     intent_tables = [];
+    compiled = None;
   }
 
 (* Install (or remove) a reusable codec buffer for the RPC boundary. The
@@ -192,6 +199,19 @@ let declared_policy t ctx =
 
 let intent_tables t = t.intent_tables
 let set_intent_tables t tables = t.intent_tables <- tables
+
+(* [Policy.compile] is a pure function of (switches, policy), so an
+   unchanged key may reuse the previous tables. An [Uncompilable] policy
+   escapes before the memo is touched. *)
+let compile_intent t ~switches pol =
+  match t.compiled with
+  | Some (switches', pol', tables)
+    when List.equal Int.equal switches switches' && Policy.equal pol pol' ->
+      (`Hit, tables)
+  | Some _ | None ->
+      let tables = Policy.compile ~switches pol in
+      t.compiled <- Some (switches, pol, tables);
+      (`Compiled, tables)
 
 let snapshot_bytes t = App_sig.snapshot t.inst
 

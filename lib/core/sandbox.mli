@@ -113,6 +113,17 @@ val intent_tables : t -> Policy.table list
 val set_intent_tables : t -> Policy.table list -> unit
 (** Record that [tables] are now what the network holds for this app. *)
 
+val compile_intent :
+  t ->
+  switches:Openflow.Types.switch_id list ->
+  Policy.t ->
+  [ `Hit | `Compiled ] * Policy.table list
+(** [Policy.compile ~switches policy], memoized on the last successful
+    call: when both [switches] and [policy] equal that call's, its tables
+    are returned physically unchanged ([`Hit]); otherwise they are
+    compiled afresh and remembered ([`Compiled]). Raises
+    [Policy.Uncompilable] like {!Policy.compile} and caches nothing then. *)
+
 val snapshot_bytes : t -> bytes
 (** A serialized snapshot of the current state (does not touch the
     checkpoint store) — for shipping state elsewhere, e.g. to a standby. *)

@@ -130,6 +130,64 @@ let rec pp fmt = function
   | Seq (a, b) -> Format.fprintf fmt "(%a ; %a)" pp a pp b
   | At (sw, p) -> Format.fprintf fmt "at %a (%a)" Types.pp_switch sw pp p
 
+(* ---------------- equality ---------------- *)
+
+(* Monomorphic, so the reconcile memo's per-event key check never goes
+   through polymorphic compare. *)
+let equal_hv a b =
+  match (a, b) with
+  | In_port x, In_port y
+  | Dl_src x, Dl_src y
+  | Dl_dst x, Dl_dst y
+  | Dl_type x, Dl_type y
+  | Nw_src x, Nw_src y
+  | Nw_dst x, Nw_dst y
+  | Nw_proto x, Nw_proto y
+  | Nw_tos x, Nw_tos y
+  | Tp_src x, Tp_src y
+  | Tp_dst x, Tp_dst y ->
+      Int.equal x y
+  | Dl_vlan x, Dl_vlan y -> Option.equal Int.equal x y
+  | _ -> false
+
+let rec equal_pred a b =
+  a == b
+  ||
+  match (a, b) with
+  | True, True | False, False -> true
+  | Test x, Test y -> equal_hv x y
+  | And (a1, a2), And (b1, b2) | Or (a1, a2), Or (b1, b2) ->
+      equal_pred a1 b1 && equal_pred a2 b2
+  | Neg x, Neg y -> equal_pred x y
+  | _ -> false
+
+let equal_update a b =
+  match (a, b) with
+  | To_dl_src x, To_dl_src y
+  | To_dl_dst x, To_dl_dst y
+  | To_vlan x, To_vlan y
+  | To_nw_src x, To_nw_src y
+  | To_nw_dst x, To_nw_dst y
+  | To_nw_tos x, To_nw_tos y
+  | To_tp_src x, To_tp_src y
+  | To_tp_dst x, To_tp_dst y ->
+      Int.equal x y
+  | To_no_vlan, To_no_vlan -> true
+  | _ -> false
+
+let rec equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Filter x, Filter y -> equal_pred x y
+  | Forward x, Forward y -> Int.equal x y
+  | Flood, Flood | Drop, Drop -> true
+  | Modify x, Modify y -> equal_update x y
+  | Union (a1, a2), Union (b1, b2) | Seq (a1, a2), Seq (b1, b2) ->
+      equal a1 b1 && equal a2 b2
+  | At (s, x), At (s', y) -> Int.equal s s' && equal x y
+  | _ -> false
+
 (* ---------------- reference semantics ---------------- *)
 
 let eval_hv hv ~in_port (p : Packet.t) =
@@ -685,29 +743,32 @@ let flow_mods ~prev ~next =
     (fun sw ->
       let old_rows = rows_of sw prev in
       let new_rows = rows_of sw next in
-      let key r = (r.r_priority, r.r_pattern) in
-      let adds =
-        List.filter_map
-          (fun r ->
-            match List.find_opt (fun o -> key o = key r) old_rows with
-            | Some o when o.r_actions = r.r_actions -> None
-            | _ ->
+      (* A memoized recompile hands back the installed rows themselves. *)
+      if old_rows == new_rows then []
+      else
+        let key r = (r.r_priority, r.r_pattern) in
+        let adds =
+          List.filter_map
+            (fun r ->
+              match List.find_opt (fun o -> key o = key r) old_rows with
+              | Some o when o.r_actions = r.r_actions -> None
+              | _ ->
+                  Some
+                    ( sw,
+                      Message.flow_add ~priority:r.r_priority r.r_pattern
+                        r.r_actions ))
+            new_rows
+        in
+        let dels =
+          List.filter_map
+            (fun o ->
+              if List.exists (fun r -> key r = key o) new_rows then None
+              else
                 Some
                   ( sw,
-                    Message.flow_add ~priority:r.r_priority r.r_pattern
-                      r.r_actions ))
-          new_rows
-      in
-      let dels =
-        List.filter_map
-          (fun o ->
-            if List.exists (fun r -> key r = key o) new_rows then None
-            else
-              Some
-                ( sw,
-                  Message.flow_delete ~strict:true ~priority:o.r_priority
-                    o.r_pattern ))
-          old_rows
-      in
-      adds @ dels)
+                    Message.flow_delete ~strict:true ~priority:o.r_priority
+                      o.r_pattern ))
+            old_rows
+        in
+        adds @ dels)
     switches

@@ -96,6 +96,9 @@ val ite : pred -> t -> t -> t
 val conj : pred list -> pred
 val disj : pred list -> pred
 
+val equal : t -> t -> bool
+(** Structural equality, agreeing with polymorphic [=] but monomorphic. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_pred : Format.formatter -> pred -> unit
 

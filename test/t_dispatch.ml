@@ -182,6 +182,7 @@ let twin dispatch =
     Runtime.create ~config net
       [ Controller.App_sig.app (module Apps.Learning_switch) ]
   in
+  Option.iter Legosdn.Netlog.keep_journal (Runtime.netlog rt);
   Runtime.step rt;
   let hosts = Netsim.Topology.hosts (Netsim.Net.topology net) in
   let inject i =
@@ -224,6 +225,8 @@ let twin dispatch =
 
 let test_twin_runtimes_agree_across_tick_barrier () =
   let seq = twin Runtime.Sequential in
+  (let _, _, journal, _ = seq in
+   T_util.checkb "the compared journal is not empty" true (journal <> []));
   List.iter
     (fun (shards, max_batch) ->
       let sh = twin (Runtime.Sharded { shards; max_batch }) in

@@ -317,6 +317,31 @@ let test_committed_add_drops_bank () =
   Alcotest.(check (pair int int)) "bank stays consumed after commit" (0, 0)
     (Counter_cache.base cache 1 pattern ~priority:32768)
 
+(* The journal is a test surface: a controller keeps none unless asked,
+   so its memory does not grow with every transaction. *)
+let test_journal_opt_in () =
+  let _, _, nl = setup () in
+  let txn () =
+    let txn = Netlog.begin_txn nl ~app:"t" in
+    ignore
+      (Netlog.apply nl txn
+         (flow_cmd 1
+            (Message.flow_add (Ofp_match.make ~tp_dst:80 ()) [ Action.Output 1 ])));
+    txn
+  in
+  Netlog.commit nl (txn ());
+  T_util.checkb "no journal by default" true (Netlog.journal nl = []);
+  Netlog.keep_journal nl;
+  Netlog.commit nl (txn ());
+  Netlog.abort nl (txn ());
+  match Netlog.journal nl with
+  | [ c; a ] ->
+      T_util.checkb "commit journaled" true c.Netlog.je_committed;
+      T_util.checkb "abort journaled" false a.Netlog.je_committed;
+      T_util.checkb "abort's undos counted" true (a.Netlog.je_rolled_back > 0);
+      T_util.checki "commit's command kept" 1 (List.length c.Netlog.je_ops)
+  | j -> Alcotest.failf "expected 2 journal entries, got %d" (List.length j)
+
 let suite =
   [
     Alcotest.test_case "abort undoes add" `Quick test_abort_undoes_add;
@@ -331,6 +356,7 @@ let suite =
     Alcotest.test_case "counter cache corrects flow stats" `Quick test_counter_cache_corrects_stats;
     Alcotest.test_case "counter cache corrects aggregates" `Quick test_aggregate_stats_corrected;
     Alcotest.test_case "issued order" `Quick test_issued_order;
+    Alcotest.test_case "journal is opt-in" `Quick test_journal_opt_in;
     Alcotest.test_case "add consumes bank, abort re-credits" `Quick
       test_add_consumes_bank_and_abort_recredits;
     Alcotest.test_case "committed add drops bank" `Quick

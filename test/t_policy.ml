@@ -149,6 +149,105 @@ let gen_case =
     let* located = list_size (int_range 1 6) gen_located in
     return (pol, located))
 
+(* Pairs for the equality check: independent policies (mostly unequal),
+   physically distinct structural copies (equal), and copies with one leaf
+   regenerated deep inside, down to a single header test or rewrite
+   (unequal unless the new leaf happens to match). *)
+let rec mutate_pred pr =
+  QCheck.Gen.(
+    match pr with
+    | Policy.And (a, b) ->
+        let* left = bool in
+        if left then map (fun a -> Policy.And (a, b)) (mutate_pred a)
+        else map (fun b -> Policy.And (a, b)) (mutate_pred b)
+    | Policy.Or (a, b) ->
+        let* left = bool in
+        if left then map (fun a -> Policy.Or (a, b)) (mutate_pred a)
+        else map (fun b -> Policy.Or (a, b)) (mutate_pred b)
+    | Policy.Neg a -> map (fun a -> Policy.Neg a) (mutate_pred a)
+    | Policy.Test _ | Policy.True | Policy.False -> gen_pred 0)
+
+let rec mutate pol =
+  QCheck.Gen.(
+    match pol with
+    | Policy.Union (a, b) ->
+        let* left = bool in
+        if left then map (fun a -> Policy.Union (a, b)) (mutate a)
+        else map (fun b -> Policy.Union (a, b)) (mutate b)
+    | Policy.Seq (a, b) ->
+        let* left = bool in
+        if left then map (fun a -> Policy.Seq (a, b)) (mutate a)
+        else map (fun b -> Policy.Seq (a, b)) (mutate b)
+    | Policy.At (sw, p) ->
+        frequency
+          [
+            (3, map (fun p -> Policy.At (sw, p)) (mutate p));
+            (1, map (fun sw -> Policy.At (1 + (sw mod 3), p)) small_nat);
+          ]
+    | Policy.Filter pr -> map (fun pr -> Policy.Filter pr) (mutate_pred pr)
+    | Policy.Modify _ -> map (fun u -> Policy.Modify u) gen_update
+    | Policy.Forward _ | Policy.Flood | Policy.Drop -> gen_policy 0)
+
+let gen_equal_pair =
+  QCheck.Gen.(
+    let* a = gen_policy 3 in
+    let* b =
+      frequency
+        [
+          (1, gen_policy 3);
+          (1, return (Marshal.from_string (Marshal.to_string a []) 0));
+          (2, mutate a);
+        ]
+    in
+    return (a, b))
+
+let test_equal_is_structural =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"Policy.equal == structural ="
+       (QCheck.make
+          ~print:(fun (a, b) -> Format.asprintf "%a@ vs@ %a" Policy.pp a Policy.pp b)
+          gen_equal_pair)
+       (fun (a, b) -> Policy.equal a b = (a = b) && Policy.equal b a = (a = b)))
+
+(* Every pair of single tests and of single rewrites, two values per
+   field: random trees rarely differ in exactly one header value. *)
+let test_equal_on_leaves () =
+  let hvs =
+    Policy.
+      [
+        In_port 1; In_port 2; Dl_src macs.(0); Dl_src macs.(1);
+        Dl_dst macs.(0); Dl_dst macs.(1); Dl_vlan None; Dl_vlan (Some 10);
+        Dl_vlan (Some 20); Dl_type Packet.ethertype_ip;
+        Dl_type Packet.ethertype_arp; Nw_src ips.(0); Nw_src ips.(1);
+        Nw_dst ips.(0); Nw_dst ips.(1); Nw_proto Packet.proto_tcp;
+        Nw_proto Packet.proto_udp; Nw_tos 0; Nw_tos 46; Tp_src 1024;
+        Tp_src 2048; Tp_dst 80; Tp_dst 23;
+      ]
+  in
+  let updates =
+    Policy.
+      [
+        To_dl_src macs.(0); To_dl_src macs.(1); To_dl_dst macs.(0);
+        To_dl_dst macs.(1); To_vlan 10; To_vlan 20; To_no_vlan;
+        To_nw_src ips.(0); To_nw_src ips.(1); To_nw_dst ips.(0);
+        To_nw_dst ips.(1); To_nw_tos 0; To_nw_tos 46; To_tp_src 1024;
+        To_tp_src 2048; To_tp_dst 80; To_tp_dst 8080;
+      ]
+  in
+  let leaves =
+    List.map (fun h -> Policy.Filter (Policy.Test h)) hvs
+    @ List.map (fun u -> Policy.Modify u) updates
+    @ Policy.[ Forward 1; Forward 2; Flood; Drop; At (1, Drop); At (2, Drop) ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if Policy.equal a b <> (a = b) then
+            Alcotest.failf "Policy.equal %a %a <> (=)" Policy.pp a Policy.pp b)
+        leaves)
+    leaves
+
 let print_case (pol, located) =
   Format.asprintf "@[<v>policy: %a@,packets: %d@]" Policy.pp pol
     (List.length located)
@@ -336,6 +435,9 @@ let suite =
   [
     test_differential;
     Alcotest.test_case "compilable majority" `Quick test_compilable_majority;
+    test_equal_is_structural;
+    Alcotest.test_case "Policy.equal on every leaf pair" `Quick
+      test_equal_on_leaves;
     Alcotest.test_case "firewall shape" `Quick test_firewall_shape;
     Alcotest.test_case "priorities above default" `Quick
       test_priorities_above_default;
